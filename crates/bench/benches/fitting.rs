@@ -1,6 +1,7 @@
 //! Criterion benchmarks for cost-function fitting (§4.2): NNLS solves and
-//! per-node grid fits, including the ablation over the grid width `W` that
-//! DESIGN.md calls out (design note 4).
+//! per-node grid fits, including an ablation over the grid width `W`: each
+//! fit probes the oracle (W+1)² times, so `W` trades fit accuracy for
+//! per-query fitting cost.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::time::Duration;

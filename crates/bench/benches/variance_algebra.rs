@@ -1,7 +1,7 @@
 //! Criterion benchmarks for the Var[t_q] computation (Algorithm 3) and the
-//! covariance-bound machinery — plus the bound-choice ablation of DESIGN.md
-//! (design note 2): how expensive are B1's restricted variances versus the
-//! plain Cauchy–Schwarz B2?
+//! covariance-bound machinery — plus a bound-choice ablation, because the
+//! predictor takes the tightest of several bounds: how expensive are B1's
+//! restricted variances versus the plain Cauchy–Schwarz B2?
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::time::Duration;

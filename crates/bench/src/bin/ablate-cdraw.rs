@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md note 1): the paper models the cost units as *shared*
+//! Ablation of the shared cost-unit assumption: the paper models the cost units as *shared*
 //! per-query system state — `t_q ≈ Σ_c g_c·c` with one `c` per unit per run.
 //! What if the world instead draws independent unit values per operator?
 //! The shared-state variance term `σ_c²(Σ_i E[f_ic])²` then over-counts

@@ -1,4 +1,4 @@
-//! Ablation (DESIGN.md note 3): how much does the quadratic C4'
+//! Ablation of the sort-cost fit: how much does the quadratic C4'
 //! approximation of the sort operator's `N log N` cost really cost?
 //! We compare the fitted quadratic against the exact oracle on and around
 //! the `[μ ± 3σ]` fitting interval, for several selectivity regimes.

@@ -1,4 +1,5 @@
-//! Regenerates the paper's Table 5 (see DESIGN.md experiment index).
+//! Regenerates the paper's Table 5; the README's "Reproducing the paper"
+//! table lists every `repro-*` binary.
 
 fn main() {
     let mut lab = uaq_bench::lab_from_env();

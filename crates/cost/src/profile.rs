@@ -1,5 +1,5 @@
 //! Simulated hardware profiles — the substitution for the paper's PC1/PC2
-//! machines (see DESIGN.md).
+//! machines.
 //!
 //! A profile is the *ground truth* the predictor never sees: the true
 //! distribution of each cost unit. The paper models the `c`'s as random

@@ -29,7 +29,7 @@ pub struct SimConfig {
     /// instead of all operators sharing one system state per run. The paper
     /// models the `c`'s as shared per-query state (`t_q ≈ Σ_c g_c·c`,
     /// §5.2.3); this flag simulates the world where that modeling assumption
-    /// is wrong (the ablation of DESIGN.md note 1, `repro-ablate-cdraw`).
+    /// is wrong (the `ablate-cdraw` binary of `uaq-bench`).
     pub per_operator_unit_draws: bool,
 }
 

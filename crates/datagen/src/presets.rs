@@ -1,7 +1,7 @@
 //! Named database presets mirroring the paper's four experimental databases
 //! (§6.1): uniform/skewed × "1 GB"/"10 GB". Our substrate is an in-memory
 //! simulator, so "1 GB" maps to a scaled-down database with the same schema
-//! and relative cardinalities (see DESIGN.md, substitution table).
+//! and relative cardinalities.
 
 use crate::gen::{generate, GenConfig};
 use uaq_storage::Catalog;

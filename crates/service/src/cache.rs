@@ -1,6 +1,6 @@
 //! The concurrent caches shared by the worker pool: the plan-shape fit
-//! cache and the selectivity-estimate cache, both bounded by a pluggable
-//! [`EvictionPolicy`].
+//! cache and the selectivity-estimate cache, both bounded by segmented-LRU
+//! eviction.
 //!
 //! * [`SharedFitCache`] implements [`uaq_cost::FitCache`]: shape signature
 //!   → (`Arc<Vec<NodeCostContext>>`, fit-signature → `Arc<NodeFits>`).
@@ -14,14 +14,13 @@
 //! value depends on is part of its key, so a hit returns exactly what a
 //! fresh computation would produce.
 //!
-//! Eviction is policy-driven. PR 2 shipped "reject new when full"
-//! ([`EvictionPolicy::RejectNew`]), which is right for stable template
-//! sets — the first-seen working set *is* the hot set — but starves bursty
-//! ad-hoc traffic: once full, new templates never get cached. The default
-//! is now [`EvictionPolicy::Segmented`] (SLRU): new entries churn through
-//! a probation segment and only entries hit at least twice earn a
-//! protected slot, so an ad-hoc scan cannot flush the recurring templates
-//! plain [`EvictionPolicy::Lru`] would sacrifice.
+//! Eviction is segmented LRU (SLRU): new entries land in a probation
+//! segment; a hit promotes to the protected segment (up to 4/5 of
+//! capacity), whose overflow demotes its LRU member back to probation.
+//! One-shot ad-hoc queries churn through probation without displacing
+//! the recurring templates that earned protection — scan-resistant where
+//! plain LRU is not, and unlike "reject new when full" it keeps caching
+//! new templates once the cache has filled.
 
 use crate::fault::{Fault, FaultInjector, FaultSite};
 use crate::sync::{lock_recover_with, Published};
@@ -33,27 +32,7 @@ use uaq_cost::{FitCache, FitSignature, NodeCostContext, NodeFits, SelEstCache};
 use uaq_selest::SelEstimates;
 use uaq_telemetry::{Counter, Registry};
 
-/// What happens when a bounded cache is full and a new entry arrives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvictionPolicy {
-    /// PR 2's original policy: a full cache keeps serving what it already
-    /// holds and rejects new entries. Zero bookkeeping; right when the
-    /// first-seen working set is the hot set, pathological for bursty
-    /// ad-hoc traffic.
-    RejectNew,
-    /// Evict the least-recently-used entry to admit the new one.
-    Lru,
-    /// Segmented LRU: new entries land in a probation segment; a hit
-    /// promotes to the protected segment (up to 4/5 of capacity), whose
-    /// overflow demotes its LRU member back to probation. One-shot ad-hoc
-    /// queries churn through probation without displacing the recurring
-    /// templates that earned protection — scan-resistant where plain LRU
-    /// is not.
-    #[default]
-    Segmented,
-}
-
-/// Protected-segment share of capacity under [`EvictionPolicy::Segmented`].
+/// Protected-segment share of capacity.
 const PROTECTED_NUM: usize = 4;
 const PROTECTED_DEN: usize = 5;
 
@@ -63,11 +42,11 @@ struct Slot<V> {
     /// Stamp of the most recent touch; queue entries with older stamps are
     /// stale markers and get skipped.
     touch: u64,
-    /// Segmented only: lives in the protected segment.
+    /// Lives in the protected segment.
     protected: bool,
 }
 
-/// A bounded map with policy-driven eviction. Recency is tracked with lazy
+/// A bounded map with segmented-LRU eviction. Recency is tracked with lazy
 /// queues — a touch pushes a `(stamp, key)` marker and bumps the slot's
 /// stamp, invalidating older markers — so every operation is amortized
 /// O(1) with no intrusive list bookkeeping. Not thread-safe on its own;
@@ -75,10 +54,8 @@ struct Slot<V> {
 #[derive(Debug)]
 pub(crate) struct EvictingMap<K: Hash + Eq + Clone, V> {
     capacity: usize,
-    policy: EvictionPolicy,
     map: HashMap<K, Slot<V>>,
-    /// Recency queues: `[probation, protected]`. `RejectNew`/`Lru` only
-    /// use probation.
+    /// Recency queues: `[probation, protected]`.
     queues: [VecDeque<(u64, K)>; 2],
     protected_len: usize,
     tick: u64,
@@ -86,10 +63,9 @@ pub(crate) struct EvictingMap<K: Hash + Eq + Clone, V> {
 }
 
 impl<K: Hash + Eq + Clone, V> EvictingMap<K, V> {
-    pub fn new(capacity: usize, policy: EvictionPolicy) -> Self {
+    pub fn new(capacity: usize) -> Self {
         Self {
             capacity,
-            policy,
             map: HashMap::new(),
             queues: [VecDeque::new(), VecDeque::new()],
             protected_len: 0,
@@ -121,22 +97,16 @@ impl<K: Hash + Eq + Clone, V> EvictingMap<K, V> {
         self.protected_len = 0;
     }
 
-    /// Looks an entry up and records the touch (promoting it under the
-    /// segmented policy).
+    /// Looks an entry up and records the touch, promoting it to the
+    /// protected segment.
     pub fn get<Q>(&mut self, key: &Q) -> Option<&mut V>
     where
         K: Borrow<Q>,
         Q: Hash + Eq + ?Sized,
     {
-        // RejectNew never evicts, so recency is meaningless: keep it at
-        // its advertised zero bookkeeping (no key clones, no markers).
-        if self.policy != EvictionPolicy::RejectNew {
-            let owned = self.map.get_key_value(key).map(|(k, _)| k.clone())?;
-            if self.policy == EvictionPolicy::Segmented {
-                self.promote(&owned);
-            }
-            self.stamp(owned);
-        }
+        let owned = self.map.get_key_value(key).map(|(k, _)| k.clone())?;
+        self.promote(&owned);
+        self.stamp(owned);
         self.map.get_mut(key).map(|slot| &mut slot.value)
     }
 
@@ -160,7 +130,7 @@ impl<K: Hash + Eq + Clone, V> EvictingMap<K, V> {
     /// (`put_*`): the request that computes a value already touched the
     /// entry on its lookup, and counting the fill as a second use would
     /// promote brand-new entries straight into the protected segment —
-    /// exactly the scan resistance `Segmented` exists to provide.
+    /// exactly the scan resistance the segments exist to provide.
     pub fn peek_mut<Q>(&mut self, key: &Q) -> Option<&mut V>
     where
         K: Borrow<Q>,
@@ -169,18 +139,15 @@ impl<K: Hash + Eq + Clone, V> EvictingMap<K, V> {
         self.map.get_mut(key).map(|slot| &mut slot.value)
     }
 
-    /// Inserts a new entry, evicting per policy when full. Returns false
-    /// when the entry was rejected (`RejectNew` at capacity, or capacity
-    /// zero). The key must not already be present.
+    /// Inserts a new entry, evicting one when full. Returns false when the
+    /// entry was rejected (capacity zero). The key must not already be
+    /// present.
     pub fn try_insert(&mut self, key: K, value: V) -> bool {
         debug_assert!(!self.map.contains_key(&key), "insert of present key");
         if self.capacity == 0 {
             return false;
         }
         if self.map.len() >= self.capacity {
-            if self.policy == EvictionPolicy::RejectNew {
-                return false;
-            }
             self.evict_one();
             if self.map.len() >= self.capacity {
                 return false;
@@ -228,12 +195,8 @@ impl<K: Hash + Eq + Clone, V> EvictingMap<K, V> {
     }
 
     /// Records a touch: bumps the slot stamp and pushes a fresh marker to
-    /// the slot's segment queue. No-op under `RejectNew` (nothing ever
-    /// consumes the markers).
+    /// the slot's segment queue.
     fn stamp(&mut self, key: K) {
-        if self.policy == EvictionPolicy::RejectNew {
-            return;
-        }
         self.tick += 1;
         let slot = self.map.get_mut(&key).expect("stamp of present key");
         slot.touch = self.tick;
@@ -263,14 +226,9 @@ impl<K: Hash + Eq + Clone, V> EvictingMap<K, V> {
     }
 
     fn evict_one(&mut self) {
-        let victim = match self.policy {
-            EvictionPolicy::RejectNew => None,
-            EvictionPolicy::Lru => self.pop_valid(0),
-            // Probation first; an all-protected cache falls back to the
-            // protected LRU.
-            EvictionPolicy::Segmented => self.pop_valid(0).or_else(|| self.pop_valid(1)),
-        };
-        if let Some(key) = victim {
+        // Probation first; an all-protected cache falls back to the
+        // protected LRU.
+        if let Some(key) = self.pop_valid(0).or_else(|| self.pop_valid(1)) {
             let slot = self.map.remove(&key).expect("victim present");
             if slot.protected {
                 self.protected_len -= 1;
@@ -379,7 +337,7 @@ struct ShapeEntry {
     fits: EvictingMap<FitSignature, Arc<NodeFits>>,
 }
 
-/// Bounds and policy for the service caches.
+/// Bounds for the service caches.
 #[derive(Debug, Clone, Copy)]
 pub struct CacheConfig {
     /// Maximum distinct plan shapes held by the fit cache.
@@ -390,8 +348,6 @@ pub struct CacheConfig {
     /// Maximum query instances (shape + literals + samples) held by the
     /// selectivity-estimate cache.
     pub max_sel_entries: usize,
-    /// Eviction policy applied to every bounded level.
-    pub eviction: EvictionPolicy,
     /// Requested shard count for both shared caches. The effective count
     /// is clamped so every shard keeps at least [`MIN_KEYS_PER_SHARD`]
     /// slots (tiny caches collapse to one shard and behave exactly like
@@ -405,7 +361,6 @@ impl Default for CacheConfig {
             max_shapes: 4096,
             max_fits_per_shape: 64,
             max_sel_entries: 16384,
-            eviction: EvictionPolicy::default(),
             shards: DEFAULT_SHARDS,
         }
     }
@@ -510,7 +465,7 @@ impl SharedFitCache {
             shards: (0..n)
                 .map(|_| FitShard {
                     map: Mutex::new(FitShardInner {
-                        map: EvictingMap::new(per_shard, config.eviction),
+                        map: EvictingMap::new(per_shard),
                         pending: Vec::new(),
                         snapshot_len: 0,
                     }),
@@ -524,12 +479,11 @@ impl SharedFitCache {
 
     /// Test-only in spirit: wires a fault injector into the lookup paths
     /// ([`FaultSite::FitCacheProbe`]) so the chaos harness can poison the
-    /// cache lock mid-probe and force misses.
-    pub fn with_injector(config: CacheConfig, injector: Arc<dyn FaultInjector>) -> Self {
-        Self {
-            injector: injector.active().then_some(injector),
-            ..Self::new(config)
-        }
+    /// cache lock mid-probe and force misses. An inactive injector is
+    /// dropped here. Call right after construction, before any probes.
+    pub fn with_injector(mut self, injector: Arc<dyn FaultInjector>) -> Self {
+        self.injector = injector.active().then_some(injector);
+        self
     }
 
     /// Rebinds the probe counters onto `registry` (series
@@ -653,7 +607,7 @@ impl SharedFitCache {
     fn empty_entry(&self) -> ShapeEntry {
         ShapeEntry {
             contexts: None,
-            fits: EvictingMap::new(self.config.max_fits_per_shape, self.config.eviction),
+            fits: EvictingMap::new(self.config.max_fits_per_shape),
         }
     }
 }
@@ -827,20 +781,16 @@ pub struct SharedSelEstCache {
 }
 
 impl SharedSelEstCache {
-    pub fn new(max_entries: usize, eviction: EvictionPolicy) -> Self {
-        Self::sharded(max_entries, eviction, DEFAULT_SHARDS)
-    }
-
-    /// Builds the cache with an explicit requested shard count (clamped
-    /// exactly like [`SharedFitCache`]); `new` uses [`DEFAULT_SHARDS`].
-    pub fn sharded(max_entries: usize, eviction: EvictionPolicy, shards: usize) -> Self {
-        let n = effective_shards(shards, max_entries);
-        let per_shard = max_entries.div_ceil(n);
+    /// Holds up to `config.max_sel_entries` instances over
+    /// `config.shards` shards (clamped exactly like [`SharedFitCache`]).
+    pub fn new(config: CacheConfig) -> Self {
+        let n = effective_shards(config.shards, config.max_sel_entries);
+        let per_shard = config.max_sel_entries.div_ceil(n);
         Self {
             shards: (0..n)
                 .map(|_| SelShard {
                     map: Mutex::new(SelShardInner {
-                        map: EvictingMap::new(per_shard, eviction),
+                        map: EvictingMap::new(per_shard),
                         pending: Vec::new(),
                         snapshot_len: 0,
                     }),
@@ -856,15 +806,9 @@ impl SharedSelEstCache {
 
     /// Wires a fault injector into the lookup path
     /// ([`FaultSite::SelCacheProbe`]); see [`SharedFitCache::with_injector`].
-    pub fn with_injector(
-        max_entries: usize,
-        eviction: EvictionPolicy,
-        injector: Arc<dyn FaultInjector>,
-    ) -> Self {
-        Self {
-            injector: injector.active().then_some(injector),
-            ..Self::new(max_entries, eviction)
-        }
+    pub fn with_injector(mut self, injector: Arc<dyn FaultInjector>) -> Self {
+        self.injector = injector.active().then_some(injector);
+        self
     }
 
     /// Rebinds the probe counters onto `registry` (series
@@ -961,8 +905,7 @@ impl SharedSelEstCache {
 
 impl Default for SharedSelEstCache {
     fn default() -> Self {
-        let config = CacheConfig::default();
-        Self::new(config.max_sel_entries, config.eviction)
+        Self::new(CacheConfig::default())
     }
 }
 
@@ -1025,10 +968,16 @@ mod tests {
         FitSignature::new(8, &[Normal::new(mean, 0.01)])
     }
 
-    fn fit_cache(policy: EvictionPolicy, max_shapes: usize) -> SharedFitCache {
+    fn fit_cache(max_shapes: usize) -> SharedFitCache {
         SharedFitCache::new(CacheConfig {
             max_shapes,
-            eviction: policy,
+            ..CacheConfig::default()
+        })
+    }
+
+    fn sel_cache(max_sel_entries: usize) -> SharedSelEstCache {
+        SharedSelEstCache::new(CacheConfig {
+            max_sel_entries,
             ..CacheConfig::default()
         })
     }
@@ -1058,40 +1007,15 @@ mod tests {
     }
 
     #[test]
-    fn reject_new_policy_is_still_selectable() {
-        // The PR 2 behavior, verbatim: a full cache rejects new entries
-        // but keeps serving (and touching) what it holds.
-        let cache = SharedFitCache::new(CacheConfig {
-            max_shapes: 1,
-            max_fits_per_shape: 1,
-            eviction: EvictionPolicy::RejectNew,
-            ..CacheConfig::default()
-        });
-        let fits = Arc::new(Vec::new());
-        cache.put_fits("s1", &sig(0.1), &fits);
-        cache.put_fits("s1", &sig(0.2), &fits); // over per-shape bound
-        cache.put_fits("s2", &sig(0.1), &fits); // over shape bound
-        assert!(cache.get_fits("s1", &sig(0.1)).is_some());
-        assert!(cache.get_fits("s1", &sig(0.2)).is_none());
-        assert!(cache.get_fits("s2", &sig(0.1)).is_none());
-        let stats = cache.stats();
-        assert_eq!(stats.shapes, 1);
-        assert_eq!(stats.shape_evictions, 0);
-        // Contexts for the held shape still land.
-        cache.put_contexts("s1", &Arc::new(Vec::new()));
-        assert!(cache.get_contexts("s1").is_some());
-    }
-
-    #[test]
-    fn lru_evicts_least_recently_used_shape() {
-        let cache = fit_cache(EvictionPolicy::Lru, 2);
+    fn touched_shape_survives_eviction() {
+        let cache = fit_cache(2);
         cache.put_contexts("a", &Arc::new(Vec::new()));
         cache.put_contexts("b", &Arc::new(Vec::new()));
-        // Touch "a" so "b" is the LRU.
+        // Touch "a": it is promoted, so "b" is the probation LRU.
         assert!(cache.get_contexts("a").is_some());
         cache.put_contexts("c", &Arc::new(Vec::new()));
         assert!(cache.get_contexts("a").is_some(), "recently used survives");
-        assert!(cache.get_contexts("b").is_none(), "LRU evicted");
+        assert!(cache.get_contexts("b").is_none(), "probation LRU evicted");
         assert!(cache.get_contexts("c").is_some(), "new entry admitted");
         let stats = cache.stats();
         assert_eq!(stats.shapes, 2);
@@ -1099,30 +1023,11 @@ mod tests {
     }
 
     #[test]
-    fn lru_order_follows_touches_exactly() {
-        let mut m: EvictingMap<&'static str, u32> = EvictingMap::new(3, EvictionPolicy::Lru);
-        assert!(m.try_insert("a", 1));
-        assert!(m.try_insert("b", 2));
-        assert!(m.try_insert("c", 3));
-        // Recency order (LRU→MRU) is now a, b, c. Touch a twice, then b:
-        // order becomes c, a, b.
-        m.get("a");
-        m.get("a");
-        m.get("b");
-        assert!(m.try_insert("d", 4)); // evicts c
-        assert!(!m.contains("c"));
-        assert!(m.try_insert("e", 5)); // evicts a
-        assert!(!m.contains("a"));
-        assert!(m.contains("b") && m.contains("d") && m.contains("e"));
-        assert_eq!(m.evictions(), 2);
-    }
-
-    #[test]
     fn segmented_promotion_protects_hot_entries_from_a_scan() {
         // Capacity 5 ⇒ protected segment of 4. Promote two hot entries,
         // then stream one-shot keys through: the scan churns probation
         // while every protected entry survives.
-        let mut m: EvictingMap<String, u32> = EvictingMap::new(5, EvictionPolicy::Segmented);
+        let mut m: EvictingMap<String, u32> = EvictingMap::new(5);
         assert!(m.try_insert("hot1".into(), 1));
         assert!(m.try_insert("hot2".into(), 2));
         m.get("hot1"); // promote
@@ -1133,16 +1038,6 @@ mod tests {
         assert!(m.contains("hot1"), "protected entry flushed by scan");
         assert!(m.contains("hot2"), "protected entry flushed by scan");
         assert_eq!(m.len(), 5);
-        // A plain LRU of the same capacity loses both under the same scan.
-        let mut lru: EvictingMap<String, u32> = EvictingMap::new(5, EvictionPolicy::Lru);
-        lru.try_insert("hot1".into(), 1);
-        lru.try_insert("hot2".into(), 2);
-        lru.get("hot1");
-        lru.get("hot2");
-        for i in 0..50 {
-            lru.try_insert(format!("scan{i}"), i);
-        }
-        assert!(!lru.contains("hot1") && !lru.contains("hot2"));
     }
 
     #[test]
@@ -1152,7 +1047,7 @@ mod tests {
         // must count as ONE use, not two — otherwise every one-shot shape
         // is promoted straight into the protected segment and an ad-hoc
         // burst demotes and flushes the genuinely hot templates.
-        let cache = fit_cache(EvictionPolicy::Segmented, 5);
+        let cache = fit_cache(5);
         for hot in ["hot1", "hot2"] {
             cache.put_contexts(hot, &Arc::new(Vec::new()));
             assert!(cache.get_contexts(hot).is_some()); // a real reuse: promote
@@ -1173,27 +1068,10 @@ mod tests {
     }
 
     #[test]
-    fn reject_new_keeps_no_recency_markers() {
-        let mut m: EvictingMap<&'static str, u32> = EvictingMap::new(2, EvictionPolicy::RejectNew);
-        assert!(m.try_insert("a", 1));
-        assert!(m.try_insert("b", 2));
-        for _ in 0..100 {
-            m.get("a");
-            m.get("b");
-        }
-        assert!(
-            m.queues[0].is_empty() && m.queues[1].is_empty(),
-            "RejectNew advertises zero bookkeeping"
-        );
-        assert!(!m.try_insert("c", 3));
-        assert_eq!(m.evictions(), 0);
-    }
-
-    #[test]
     fn segmented_protected_overflow_demotes_lru_protected() {
         // Capacity 5 ⇒ protected cap 4. Promote 5 entries; the first
         // promoted is demoted back to probation and becomes evictable.
-        let mut m: EvictingMap<String, u32> = EvictingMap::new(5, EvictionPolicy::Segmented);
+        let mut m: EvictingMap<String, u32> = EvictingMap::new(5);
         for (i, k) in ["a", "b", "c", "d", "e"].iter().enumerate() {
             assert!(m.try_insert((*k).into(), i as u32));
         }
@@ -1210,7 +1088,7 @@ mod tests {
 
     #[test]
     fn capacity_zero_behaves_as_no_cache() {
-        let cache = fit_cache(EvictionPolicy::Segmented, 0);
+        let cache = fit_cache(0);
         let fits = Arc::new(Vec::new());
         cache.put_contexts("s1", &Arc::new(Vec::new()));
         cache.put_fits("s1", &sig(0.5), &fits);
@@ -1220,7 +1098,7 @@ mod tests {
         assert_eq!(stats.shapes, 0);
         assert_eq!(stats.shape_evictions, 0);
 
-        let sel = SharedSelEstCache::new(0, EvictionPolicy::Lru);
+        let sel = sel_cache(0);
         sel.put("k", &SelEstimates::from_vec(Vec::new()));
         assert!(uaq_cost::SelEstCache::get(&sel, "k").is_none());
         assert_eq!(sel.stats().entries, 0);
@@ -1243,7 +1121,7 @@ mod tests {
 
     #[test]
     fn sel_cache_eviction_counts() {
-        let sel = SharedSelEstCache::new(2, EvictionPolicy::Lru);
+        let sel = sel_cache(2);
         for k in ["a", "b", "c", "d"] {
             sel.put(k, &SelEstimates::from_vec(Vec::new()));
         }
@@ -1269,18 +1147,22 @@ mod tests {
 
     #[test]
     fn lazy_queue_compaction_keeps_memory_bounded() {
-        let mut m: EvictingMap<&'static str, u32> = EvictingMap::new(2, EvictionPolicy::Lru);
+        // Capacity 2 ⇒ protected cap 1: alternating hits promote one key
+        // and demote the other, so both segments take a marker per touch.
+        let mut m: EvictingMap<&'static str, u32> = EvictingMap::new(2);
         m.try_insert("a", 1);
         m.try_insert("b", 2);
         for _ in 0..10_000 {
             m.get("a");
             m.get("b");
         }
-        assert!(
-            m.queues[0].len() <= 2 * m.len() + 8,
-            "queue grew unboundedly: {}",
-            m.queues[0].len()
-        );
+        for queue in &m.queues {
+            assert!(
+                queue.len() <= 2 * m.len() + 8,
+                "queue grew unboundedly: {}",
+                queue.len()
+            );
+        }
     }
 
     #[test]
@@ -1338,13 +1220,12 @@ mod tests {
                 Some(Fault::ProbeMiss)
             }
         }
-        let cache = SharedFitCache::with_injector(CacheConfig::default(), Arc::new(AlwaysMiss));
+        let cache = SharedFitCache::default().with_injector(Arc::new(AlwaysMiss));
         cache.put_contexts("s1", &Arc::new(Vec::new()));
         assert!(cache.get_contexts("s1").is_none(), "probe forced to miss");
         assert_eq!(cache.stats().shapes, 1, "the entry itself is intact");
 
-        let sel =
-            SharedSelEstCache::with_injector(64, EvictionPolicy::default(), Arc::new(AlwaysMiss));
+        let sel = sel_cache(64).with_injector(Arc::new(AlwaysMiss));
         sel.put("k", &SelEstimates::from_vec(Vec::new()));
         assert!(uaq_cost::SelEstCache::get(&sel, "k").is_none());
         assert_eq!(sel.stats().entries, 1);
@@ -1352,8 +1233,7 @@ mod tests {
 
     #[test]
     fn inactive_injector_is_dropped_at_construction() {
-        let cache =
-            SharedFitCache::with_injector(CacheConfig::default(), Arc::new(crate::fault::NoFaults));
+        let cache = SharedFitCache::default().with_injector(Arc::new(crate::fault::NoFaults));
         assert!(cache.injector.is_none(), "inactive injector adds no probes");
         cache.put_contexts("s1", &Arc::new(Vec::new()));
         assert!(cache.get_contexts("s1").is_some());
@@ -1425,17 +1305,15 @@ mod tests {
     #[test]
     fn shard_counts_follow_capacity_clamp() {
         assert_eq!(SharedFitCache::default().shard_count(), DEFAULT_SHARDS);
-        assert_eq!(fit_cache(EvictionPolicy::Lru, 2).shard_count(), 1);
-        assert_eq!(fit_cache(EvictionPolicy::Lru, 0).shard_count(), 1);
+        assert_eq!(fit_cache(2).shard_count(), 1);
+        assert_eq!(fit_cache(0).shard_count(), 1);
         assert_eq!(SharedSelEstCache::default().shard_count(), DEFAULT_SHARDS);
-        assert_eq!(
-            SharedSelEstCache::new(2, EvictionPolicy::Lru).shard_count(),
-            1
-        );
-        assert_eq!(
-            SharedSelEstCache::sharded(16384, EvictionPolicy::Lru, 3).shard_count(),
-            3
-        );
+        assert_eq!(sel_cache(2).shard_count(), 1);
+        let three = CacheConfig {
+            shards: 3,
+            ..CacheConfig::default()
+        };
+        assert_eq!(SharedSelEstCache::new(three).shard_count(), 3);
         // Routing is deterministic and in range for every shard count.
         for shards in 1..=16 {
             let a = shard_of("shape-a", shards);

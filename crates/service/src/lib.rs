@@ -8,10 +8,10 @@
 //! Four pieces:
 //!
 //! * [`PredictionService`] — a [`ShardedWorkQueue`] (per-worker deques
-//!   with seeded work stealing; one shard reproduces the single MPMC
-//!   [`WorkQueue`] exactly) feeding a pool of worker threads that share
-//!   one [`Predictor`](uaq_core::Predictor), catalog, and sample set
-//!   behind `Arc`s; each [`PredictRequest`] (plan + optional deadline +
+//!   with seeded work stealing; one shard is exact FIFO) feeding a pool
+//!   of worker threads that share one
+//!   [`Predictor`](uaq_core::Predictor), catalog, and sample set behind
+//!   `Arc`s; each [`PredictRequest`] (plan + optional deadline +
 //!   [`TenantId`]) yields a [`PredictResponse`] carrying the full
 //!   [`Prediction`](uaq_core::Prediction) and an admission [`Decision`].
 //! * [`SharedSelEstCache`] — the concurrent selectivity-estimate cache
@@ -37,8 +37,8 @@
 //!   the deadline *scenario*, whose queue-aware budget can grow at a
 //!   freed server — see the note in [`service`].)
 //!
-//! Both caches are bounded with a pluggable [`EvictionPolicy`] (segmented
-//! LRU by default; PR 2's reject-new stays selectable). Responses are
+//! Both caches are bounded with segmented-LRU eviction, and a full
+//! bounded queue sheds by weighted predicted σ/μ. Responses are
 //! deterministic: predictions are pure functions of (plan, catalog,
 //! samples, config), and hits at either cache level are bit-identical to
 //! fresh computations by construction, so worker count, scheduling order,
@@ -75,15 +75,14 @@ pub use admission::{
     TenantId,
 };
 pub use cache::{
-    CacheConfig, CacheStats, EvictionPolicy, SelCacheStats, SharedFitCache, SharedSelEstCache,
-    DEFAULT_SHARDS,
+    CacheConfig, CacheStats, SelCacheStats, SharedFitCache, SharedSelEstCache, DEFAULT_SHARDS,
 };
 pub use fault::{
     silence_injected_panics, Fault, FaultInjector, FaultPlan, FaultSite, NoFaults,
     SeededFaultInjector, INJECTED_PANIC,
 };
-pub use queue::{Popped, Pushed, ShardedWorkQueue, WorkQueue};
+pub use queue::{Popped, Pushed, ShardedWorkQueue};
 pub use service::{
     PredictRequest, PredictResponse, PredictionService, RetryPolicy, RobustnessStats, ServedTier,
-    ServiceConfig, ShedPolicy,
+    ServiceConfig,
 };

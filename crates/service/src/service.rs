@@ -1,8 +1,8 @@
-//! The prediction service: an MPMC work queue feeding a worker pool that
-//! shares one predictor, one catalog, one sample set, and one fit cache.
+//! The prediction service: a sharded MPMC work queue feeding a worker pool
+//! that shares one predictor, one catalog, one sample set, and both caches.
 //!
 //! ```text
-//!  clients ──submit──▶ WorkQueue ──pop──▶ worker 0..N
+//!  clients ──submit──▶ ShardedWorkQueue ──pop──▶ worker 0..N
 //!                                          │  predict_with_cache(plan)
 //!                                          │  policy.decide(prediction)
 //!                                          ▼
@@ -58,8 +58,8 @@
 //! request's reply channel before letting the worker die — at which
 //! point it is respawned (unless the service is shutting down). Locks
 //! are poison-tolerant throughout ([`crate::sync`]), a bounded queue
-//! with variance-aware shedding ([`ShedPolicy`]) keeps overload from
-//! growing without bound, and the whole thing is provable because a
+//! with variance-aware shedding ([`ServiceConfig::queue_capacity`]) keeps
+//! overload from growing without bound, and the whole thing is provable because a
 //! [`FaultInjector`](crate::fault::FaultInjector) can be threaded
 //! through every probe point ([`PredictionService::start_with_faults`])
 //! — the chaos suite drives hundreds of seeded fault schedules against
@@ -224,25 +224,6 @@ impl Default for RetryPolicy {
     }
 }
 
-/// What a full bounded queue sheds when one more request arrives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ShedPolicy {
-    /// Plain backpressure: the incoming request is rejected, the queue is
-    /// untouched (FIFO shedding — the baseline the overload experiment
-    /// compares against).
-    RejectNewest,
-    /// Uncertainty-aware: shed whichever request — queued or incoming —
-    /// has the highest *relative* predicted variance
-    /// ([`shed_priority`]), looked up from the shape profile of past
-    /// predictions. Highest-variance work is the worst SLO bet per unit
-    /// of capacity, so shedding it first minimizes expected violations
-    /// among what the service keeps. Unknown shapes (no profile yet)
-    /// carry infinite priority: with no evidence they can meet anything,
-    /// they are the first to go under pressure.
-    #[default]
-    HighestRelativeVariance,
-}
-
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
@@ -264,13 +245,18 @@ pub struct ServiceConfig {
     pub cache: CacheConfig,
     /// Deferred-request handling; see [`RetryPolicy`].
     pub retry: RetryPolicy,
-    /// Maximum requests waiting in the work queue; `None` is unbounded
-    /// (the pre-overload-control behaviour). At the mark, [`Self::shed`]
-    /// picks the victim, which gets an immediate [`Decision::Reject`] at
+    /// Maximum requests waiting in the work queue; `None` is unbounded.
+    /// At the mark the service sheds whichever request — queued or
+    /// incoming — has the highest weighted *relative* predicted variance
+    /// ([`crate::admission::weighted_shed_priority`]), looked up from the
+    /// shape profile of past predictions. Highest-variance work is the
+    /// worst SLO bet per unit of capacity, so shedding it first minimizes
+    /// expected violations among what the service keeps. Unknown shapes
+    /// (no profile yet) carry infinite priority: with no evidence they
+    /// can meet anything, they are the first to go under pressure. The
+    /// victim gets an immediate [`Decision::Reject`] at
     /// [`ServedTier::Shed`] — shedding is a response, never silence.
     pub queue_capacity: Option<usize>,
-    /// Victim selection for a full queue; see [`ShedPolicy`].
-    pub shed: ShedPolicy,
     /// Per-request compute budget for the degradation ladder: when the
     /// full pipeline's last observed cost for this plan shape exceeds the
     /// budget (or the attempt itself has already overrun it), the ladder
@@ -297,7 +283,6 @@ impl Default for ServiceConfig {
             cache: CacheConfig::default(),
             retry: RetryPolicy::default(),
             queue_capacity: None,
-            shed: ShedPolicy::default(),
             compute_budget: None,
             record_spans: false,
         }
@@ -460,7 +445,6 @@ struct Shared {
     cache_enabled: bool,
     retry: RetryPolicy,
     deferred: Mutex<VecDeque<DeferredJob>>,
-    shed: ShedPolicy,
     compute_budget: Option<Duration>,
     /// Last real prediction per plan shape; see [`ShapeProfile`].
     profile: Mutex<HashMap<u64, ShapeProfile>>,
@@ -695,28 +679,14 @@ impl PredictionService {
         config: ServiceConfig,
         injector: Arc<dyn FaultInjector>,
     ) -> Self {
-        let injector = injector.active().then_some(injector);
         let registry = Arc::new(Registry::new());
-        let (cache, sel_cache) = match &injector {
-            Some(inj) => (
-                SharedFitCache::with_injector(config.cache, Arc::clone(inj)),
-                SharedSelEstCache::with_injector(
-                    config.cache.max_sel_entries,
-                    config.cache.eviction,
-                    Arc::clone(inj),
-                ),
-            ),
-            None => (
-                SharedFitCache::new(config.cache),
-                SharedSelEstCache::sharded(
-                    config.cache.max_sel_entries,
-                    config.cache.eviction,
-                    config.cache.shards,
-                ),
-            ),
-        };
-        let cache = cache.instrumented(&registry);
-        let sel_cache = sel_cache.instrumented(&registry);
+        let cache = SharedFitCache::new(config.cache)
+            .with_injector(Arc::clone(&injector))
+            .instrumented(&registry);
+        let sel_cache = SharedSelEstCache::new(config.cache)
+            .with_injector(Arc::clone(&injector))
+            .instrumented(&registry);
+        let injector = injector.active().then_some(injector);
         let workers = config.workers.max(1);
         let queue_shards = if config.queue_shards == 0 {
             workers
@@ -739,7 +709,6 @@ impl PredictionService {
             cache_enabled: config.cache_enabled,
             retry: config.retry,
             deferred: Mutex::new(VecDeque::new()),
-            shed: config.shed,
             compute_budget: config.compute_budget,
             profile: Mutex::new(HashMap::new()),
             robustness: RobustnessCounters::registered(&registry),
@@ -790,30 +759,23 @@ impl PredictionService {
         };
         shared.requests_total.inc();
         // The selector is only consulted at the high-water mark of a
-        // bounded queue.
-        let pushed = shared
-            .queue
-            .push_bounded(job, |queued, incoming| match shared.shed {
-                ShedPolicy::RejectNewest => None,
-                ShedPolicy::HighestRelativeVariance => {
-                    // Shed the single worst weighted relative-variance
-                    // request — but only if it is strictly worse than the
-                    // incoming one (ties shed the newcomer: displacing
-                    // queued work needs a reason). Equal priorities among
-                    // the queued (the all-∞ unprofiled case included)
-                    // break on arrival seq, newest first — an ordering
-                    // intrinsic to the jobs, so the victim is the same
-                    // for every shard count.
-                    let incoming_priority = shared.shed_priority_of_job(incoming);
-                    queued
-                        .iter()
-                        .enumerate()
-                        .map(|(i, j)| (i, shared.shed_priority_of_job(j), j.seq))
-                        .max_by(|a, b| a.1.total_cmp(&b.1).then(a.2.cmp(&b.2)))
-                        .filter(|&(_, p, _)| p > incoming_priority)
-                        .map(|(i, _, _)| i)
-                }
-            });
+        // bounded queue. It sheds the single worst weighted
+        // relative-variance request — but only if it is strictly worse
+        // than the incoming one (ties shed the newcomer: displacing queued
+        // work needs a reason). Equal priorities among the queued (the
+        // all-∞ unprofiled case included) break on arrival seq, newest
+        // first — an ordering intrinsic to the jobs, so the victim is the
+        // same for every shard count.
+        let pushed = shared.queue.push_bounded(job, |queued, incoming| {
+            let incoming_priority = shared.shed_priority_of_job(incoming);
+            queued
+                .iter()
+                .enumerate()
+                .map(|(i, j)| (i, shared.shed_priority_of_job(j), j.seq))
+                .max_by(|a, b| a.1.total_cmp(&b.1).then(a.2.cmp(&b.2)))
+                .filter(|&(_, p, _)| p > incoming_priority)
+                .map(|(i, _, _)| i)
+        });
         match pushed {
             Pushed::Queued => {}
             // The victim gets its Reject right here on the submitter's
@@ -1473,6 +1435,45 @@ mod tests {
     }
 
     #[test]
+    fn both_caches_take_their_shard_count_from_the_config_with_or_without_faults() {
+        let config = ServiceConfig {
+            workers: 1,
+            cache: CacheConfig {
+                shards: 4,
+                ..CacheConfig::default()
+            },
+            ..Default::default()
+        };
+        // An armed injector whose plan never fires: active, so it is
+        // wired into both caches, yet it changes no fate.
+        let injectors: [Arc<dyn FaultInjector>; 2] = [
+            Arc::new(crate::fault::NoFaults),
+            Arc::new(crate::fault::SeededFaultInjector::new(
+                1,
+                crate::fault::FaultPlan::none(),
+            )),
+        ];
+        for injector in injectors {
+            let (predictor, catalog, samples, _) = setup();
+            let service = PredictionService::start_with_faults(
+                predictor,
+                catalog,
+                samples,
+                config.clone(),
+                injector,
+            );
+            let shared = &service.shared;
+            assert_eq!(
+                (shared.cache.shard_count(), shared.sel_cache.shard_count()),
+                (4, 4),
+                "injector active: {}",
+                shared.injector.is_some()
+            );
+            service.shutdown();
+        }
+    }
+
+    #[test]
     fn negative_budget_rejects_with_zero_probability() {
         let (predictor, catalog, samples, plan) = setup();
         for policy in [
@@ -1904,7 +1905,6 @@ mod tests {
             ServiceConfig {
                 workers: 1,
                 queue_capacity: Some(2),
-                shed: ShedPolicy::HighestRelativeVariance,
                 ..Default::default()
             },
             Arc::clone(&injector) as Arc<dyn crate::fault::FaultInjector>,
@@ -2185,7 +2185,6 @@ mod tests {
                     workers: 1,
                     queue_shards,
                     queue_capacity: Some(2),
-                    shed: ShedPolicy::HighestRelativeVariance,
                     ..Default::default()
                 },
                 Arc::clone(&injector) as Arc<dyn crate::fault::FaultInjector>,
@@ -2316,7 +2315,6 @@ mod tests {
             ServiceConfig {
                 workers: 1,
                 queue_capacity: Some(2),
-                shed: ShedPolicy::HighestRelativeVariance,
                 tenants: vec![(
                     light,
                     TenantClass {

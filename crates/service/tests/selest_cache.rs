@@ -14,7 +14,7 @@ use uaq_core::{Prediction, Predictor, PredictorConfig};
 use uaq_cost::{calibrate, CalibrationConfig, HardwareProfile, SelEstCache};
 use uaq_engine::{plan_query, Plan, PlanBuilder, Pred};
 use uaq_service::{
-    CacheConfig, EvictionPolicy, PredictRequest, PredictionService, ServiceConfig, SharedFitCache,
+    CacheConfig, PredictRequest, PredictionService, ServiceConfig, SharedFitCache,
     SharedSelEstCache, TenantId,
 };
 use uaq_stats::Rng;
@@ -216,38 +216,29 @@ fn predictions_stay_bit_identical_across_eviction_and_refill() {
         .map(|p| predictor.predict(p, &catalog, &samples))
         .collect();
 
-    for policy in [
-        EvictionPolicy::Lru,
-        EvictionPolicy::Segmented,
-        EvictionPolicy::RejectNew,
-    ] {
-        let fit_cache = SharedFitCache::new(CacheConfig {
-            max_shapes: 1,
-            max_fits_per_shape: 2,
-            max_sel_entries: 2,
-            eviction: policy,
-            shards: 1,
-        });
-        let sel_cache = SharedSelEstCache::new(2, policy);
-        // Three round-robin rounds over 6 instances against capacity 2:
-        // every round evicts and refills under Lru/Segmented.
-        for round in 0..3 {
-            for (plan, reference) in plans.iter().zip(&references) {
-                let got =
-                    predictor.predict_with_caches(plan, &catalog, &samples, &fit_cache, &sel_cache);
-                assert_bit_identical(reference, &got, &format!("{policy:?} round {round}"));
-            }
+    let config = CacheConfig {
+        max_shapes: 1,
+        max_fits_per_shape: 2,
+        max_sel_entries: 2,
+        shards: 1,
+    };
+    let fit_cache = SharedFitCache::new(config);
+    let sel_cache = SharedSelEstCache::new(config);
+    // Three round-robin rounds over 6 instances against capacity 2: every
+    // round evicts and refills.
+    for round in 0..3 {
+        for (plan, reference) in plans.iter().zip(&references) {
+            let got =
+                predictor.predict_with_caches(plan, &catalog, &samples, &fit_cache, &sel_cache);
+            assert_bit_identical(reference, &got, &format!("round {round}"));
         }
-        let sel = sel_cache.stats();
-        match policy {
-            EvictionPolicy::RejectNew => assert_eq!(sel.evictions, 0, "{sel:?}"),
-            _ => assert!(
-                sel.evictions > 0,
-                "cycling 6 instances through capacity 2 must evict: {sel:?}"
-            ),
-        }
-        assert!(sel.entries <= 2);
     }
+    let sel = sel_cache.stats();
+    assert!(
+        sel.evictions > 0,
+        "cycling 6 instances through capacity 2 must evict: {sel:?}"
+    );
+    assert!(sel.entries <= 2);
 }
 
 /// The same contract through the full concurrent service, with the stock
@@ -328,7 +319,10 @@ proptest! {
     #[test]
     fn sel_cache_hit_returns_identical_bytes(cut in 1i64..4000, capacity in 1usize..4) {
         let (predictor, catalog, samples) = small_setup();
-        let sel_cache = SharedSelEstCache::new(capacity, EvictionPolicy::Lru);
+        let sel_cache = SharedSelEstCache::new(CacheConfig {
+            max_sel_entries: capacity,
+            ..CacheConfig::default()
+        });
         let fit_cache = SharedFitCache::default();
         let mut b = PlanBuilder::new();
         let t = b.seq_scan("t", Pred::lt("b", Value::Int(cut)));
@@ -445,7 +439,6 @@ fn stress_concurrent_hit_miss_evict_matches_single_threaded_replay() {
             max_shapes: 2,
             max_fits_per_shape: 2,
             max_sel_entries: 8,
-            eviction: EvictionPolicy::Segmented,
             shards: 2,
         },
         ..Default::default()
